@@ -101,11 +101,6 @@ type Config struct {
 	CaptureThresholdDB float64
 	// CarrierSenseDBm: energy above this is "channel busy" (default -85).
 	CarrierSenseDBm float64
-	// DisableSharding makes delivery scan every attached radio per
-	// transmission, the pre-shard O(radios) behaviour. It exists for the
-	// differential tests and the sharded-vs-unsharded benchmarks; real
-	// worlds never set it.
-	DisableSharding bool
 }
 
 func (c *Config) fill() {
@@ -161,13 +156,15 @@ type Medium struct {
 	shards [MaxChannel + 1]mediumShard
 	// cellSize is the grid cell edge (one default-power decode range).
 	cellSize float64
-	// spatial enables grid pruning plus the decode floor. It is off when
-	// shadowing is on (reception at any distance is then a draw the loss
-	// model must keep making) and under DisableSharding.
+	// spatial enables grid pruning, the decode floor and the log-free
+	// capture test. It is off when shadowing is on (reception at any
+	// distance is then a draw the loss model must keep making).
 	spatial bool
-	// cand is the delivery loop's candidate scratch buffer. Prepare hooks
-	// never touch it — each transmission's txPrep owns its own buffer.
-	cand []*Radio
+	// gather and capture are the serial delivery loop's scratch: its
+	// candidate gather and its capture-factor memo. Prepare hooks never
+	// touch them — each transmission's txPrep owns its own.
+	gather  gatherBuf
+	capture captureCheck
 
 	// posGen/chanGen are staleness stamps for speculative delivery prepares
 	// (prepare.go): any SetPosition bumps posGen; attaching or retuning a
@@ -233,7 +230,7 @@ func NewMedium(k *sim.Kernel, cfg Config) *Medium {
 	cfg.fill()
 	m := &Medium{kernel: k, cfg: cfg, rng: k.RNG().Fork()}
 	m.cellSize = m.maxDecodeRange(defaultTxPowerDBm)
-	m.spatial = cfg.ShadowingSigmaDB == 0 && !cfg.DisableSharding
+	m.spatial = cfg.ShadowingSigmaDB == 0
 	// The medium is the kernel's only source of preparable events, and every
 	// completion it schedules is at least one PLCP preamble away — the
 	// minimum airtime is the conservative lookahead (DESIGN.md §14).
@@ -584,15 +581,17 @@ func (m *Medium) complete(tx *transmission) {
 	// happens here, serially, in either case.
 	var cand []*Radio
 	var prx []prepRx
-	switch {
-	case m.cfg.DisableSharding:
-		cand = m.radios
-	case m.prepValid(tx):
-		cand = tx.prep.cand
-		prx = tx.prep.rx
+	cc := &m.capture
+	if m.prepValid(tx) {
+		cand, prx = tx.prep.gather.cand, tx.prep.rx
+		// Overlaps registered after the prepare ran (the list is append-only
+		// until retire) fold in serially; collided is an order-insensitive
+		// OR, so prefix-then-suffix is exact.
+		cc.begin(tx, overlaps[tx.prep.overlapsN:])
 		m.PrepCommits++
-	default:
-		cand = m.gatherCandidates(tx)
+	} else {
+		cand = m.gatherInto(&m.gather, tx)
+		cc.begin(tx, overlaps)
 		m.PrepStale++
 	}
 	for i, rx := range cand {
@@ -610,18 +609,10 @@ func (m *Medium) complete(tx *transmission) {
 			r := &prx[i]
 			rssi, snr, floor, collided = r.rssi, r.snr, r.floor, r.collided
 			if !floor && !collided {
-				// Overlaps registered after the prepare ran (the list is
-				// append-only until retire) fold in serially; collided is an
-				// order-insensitive OR, so prefix-then-suffix is exact.
-				collided = m.overlapCollides(overlaps[tx.prep.overlapsN:], rx, rssi)
+				collided = m.overlapCollides(cc, rx, rssi)
 			}
 		} else {
 			rej := channelRejectionDB(tx.channel, rx.channel)
-			if math.IsInf(rej, 1) {
-				// Only reachable via the DisableSharding scan; the shard
-				// neighborhood never yields an orthogonal-channel radio.
-				continue
-			}
 			rssi = m.rxPowerDBm(tx.powerDBm, tx.src.pos, rx.pos) - rej
 			snr = rssi - m.cfg.NoiseFloorDBm
 			// Below the decode floor: deterministically lost, no RNG draw.
@@ -633,7 +624,7 @@ func (m *Medium) complete(tx *transmission) {
 			// exactly as before, however hopeless rejection makes them).
 			floor = m.spatial && snr+rej < decodeFloorSNRDB
 			if !floor {
-				collided = m.overlapCollides(overlaps, rx, rssi)
+				collided = m.overlapCollides(cc, rx, rssi)
 			}
 		}
 		if floor {
@@ -662,23 +653,151 @@ func (m *Medium) complete(tx *transmission) {
 	}
 }
 
-// overlapCollides reports whether any transmission in overlaps is loud enough
-// at rx to defeat capture of a frame received at rssi. No RNG, no counters —
-// the same pure predicate serves the serial path, the prepare hook (prefix),
+// captureGuard is the relative guard band of the log-free capture test
+// (overlapCollides): a squared-distance comparison this close to its
+// boundary defers to the exact dB expression. The filter's own float error
+// is ~1e-15 relative and the exact expression's ~1e-13 dB, while 1e-9
+// relative in squared distance is ~5e-9 dB of margin at any path-loss
+// exponent the model uses, so outside the band both round to the same
+// side of the threshold.
+const captureGuard = 1e-9
+
+// captureCheck is one candidate loop's capture context: the transmission
+// being delivered, the overlaps its receivers must survive, and the capture
+// factor memoized per (overlap, receiver channel). A completion owns one
+// (the medium's for the serial loop, the txPrep's for a prepare) and calls
+// begin before its candidate loop.
+type captureCheck struct {
+	tx       *transmission
+	overlaps []*transmission
+	// fac[i*chanSlots+ch] is overlaps[i]'s capture factor at a receiver
+	// tuned to ch, valid once bit ch of have[i] is set.
+	fac  []float64
+	have []uint16
+}
+
+// chanSlots is the per-overlap stride of captureCheck.fac: one slot per
+// channel number, 0 unused.
+const chanSlots = int(MaxChannel) + 1
+
+// begin arms c for a candidate loop delivering tx against overlaps.
+func (c *captureCheck) begin(tx *transmission, overlaps []*transmission) {
+	c.tx, c.overlaps = tx, overlaps
+	n := len(overlaps)
+	if cap(c.have) < n {
+		c.have = make([]uint16, n)
+		c.fac = make([]float64, n*chanSlots)
+	}
+	c.have = c.have[:n]
+	clear(c.have)
+}
+
+// overlapCollides reports whether any of c's overlaps is loud enough at rx
+// to defeat capture of c.tx received at rssi. No RNG, no counters — the
+// same pure predicate serves the serial path, the prepare hook (prefix),
 // and the commit-time fold (suffix). The early return is sound for the same
 // reason the prefix/suffix split is: only the OR is observable.
-func (m *Medium) overlapCollides(overlaps []*transmission, rx *Radio, rssi float64) bool {
-	for _, o := range overlaps {
-		orej := channelRejectionDB(o.channel, rx.channel)
-		if math.IsInf(orej, 1) {
+//
+// Without shadowing, rssi is exactly P_tx − L(d_tx) − rej_tx with the
+// log-distance L(d) = L0 + k·log10(max(d, 1)), k = 10·PathLossExponent, so
+// overlapDefeats' test rssi − op < C holds exactly when
+//
+//	max(d_o², 1) < max(d_tx², 1) · 10^(2Δ/k),  Δ = C + P_o − P_tx + rej_tx − rej_o.
+//
+// That compares squared distances against a factor fixed per (overlap,
+// receiver channel), with no logarithm or square root per receiver. Inside
+// captureGuard of the boundary it falls back to overlapDefeats, so every
+// decision equals the exact expression's. Shadowed media add a random term
+// to rssi and always take the exact path.
+func (m *Medium) overlapCollides(c *captureCheck, rx *Radio, rssi float64) bool {
+	if !m.spatial {
+		for _, o := range c.overlaps {
+			if m.overlapDefeats(o, rx, rssi) {
+				return true
+			}
+		}
+		return false
+	}
+	tx := c.tx
+	dtx2 := -1.0 // computed on first use
+	for i, o := range c.overlaps {
+		slot := i*chanSlots + int(rx.channel)
+		f := c.fac[slot]
+		if bit := uint16(1) << uint(rx.channel); c.have[i]&bit == 0 {
+			f = m.captureFactor(tx, o, rx.channel)
+			c.fac[slot] = f
+			c.have[i] |= bit
+		}
+		if f == 0 {
 			continue
 		}
-		op := o.powerDBm - m.pathLossDB(o.src.pos, rx.pos) - orej
-		if rssi-op < m.cfg.CaptureThresholdDB {
+		if dtx2 < 0 {
+			dx, dy := tx.src.pos.X-rx.pos.X, tx.src.pos.Y-rx.pos.Y
+			dtx2 = dx*dx + dy*dy
+		}
+		dx, dy := o.src.pos.X-rx.pos.X, o.src.pos.Y-rx.pos.Y
+		switch captureFilter(dx*dx+dy*dy, dtx2, f) {
+		case captureLost:
 			return true
+		case captureUndecided:
+			if m.overlapDefeats(o, rx, rssi) {
+				return true
+			}
 		}
 	}
 	return false
+}
+
+// captureFactor is 10^(2Δ/k) for overlap o against tx at a receiver tuned
+// to ch (see overlapCollides), or 0 when o's channel is orthogonal to ch: an
+// overlap the receiver cannot hear never defeats capture.
+func (m *Medium) captureFactor(tx, o *transmission, ch Channel) float64 {
+	orej := channelRejectionDB(o.channel, ch)
+	if math.IsInf(orej, 1) {
+		return 0
+	}
+	delta := m.cfg.CaptureThresholdDB + o.powerDBm - tx.powerDBm + channelRejectionDB(tx.channel, ch) - orej
+	return math.Pow(10, delta/(5*m.cfg.PathLossExponent))
+}
+
+// Outcomes of captureFilter.
+const (
+	captureHeld = iota
+	captureLost
+	captureUndecided
+)
+
+// captureFilter evaluates max(do2, 1) < max(dtx2, 1)·f with captureGuard's
+// band: captureLost when it clearly holds, captureHeld when it clearly does
+// not, captureUndecided inside the band — or when an infinite or NaN
+// operand leaves no meaningful margin — so the caller decides exactly.
+func captureFilter(do2, dtx2, f float64) int {
+	if do2 < 1 {
+		do2 = 1
+	}
+	if dtx2 < 1 {
+		dtx2 = 1
+	}
+	b := dtx2 * f
+	switch d := do2 - b; {
+	case d > captureGuard*b:
+		return captureHeld
+	case d < -captureGuard*b:
+		return captureLost
+	}
+	return captureUndecided
+}
+
+// overlapDefeats is the exact capture predicate: o, heard at rx after
+// channel rejection, comes within the capture threshold of a frame received
+// at rssi.
+func (m *Medium) overlapDefeats(o *transmission, rx *Radio, rssi float64) bool {
+	orej := channelRejectionDB(o.channel, rx.channel)
+	if math.IsInf(orej, 1) {
+		return false
+	}
+	op := o.powerDBm - m.pathLossDB(o.src.pos, rx.pos) - orej
+	return rssi-op < m.cfg.CaptureThresholdDB
 }
 
 // retire marks tx finished and recycles every transmission that is no longer

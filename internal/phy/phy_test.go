@@ -163,14 +163,19 @@ func TestDecodeFloorSkipsWithoutDraw(t *testing.T) {
 
 func TestShardedMatchesUnshardedDigest(t *testing.T) {
 	// Differential check: with all radios inside decode range, the sharded
-	// medium must reproduce the unsharded scan's digest byte-identically —
-	// same candidates, same order, same draws. Run with and without
-	// shadowing (shadowing adds a per-candidate draw and disables pruning).
+	// medium must reproduce the flat reference scan's digest (flat_test.go)
+	// byte-identically — same candidates, same order, same draws, same
+	// capture decisions. Run with and without shadowing (shadowing adds a
+	// per-candidate draw and disables pruning).
 	for _, sigma := range []float64{0, 3} {
 		digests := map[bool]uint64{}
 		for _, unsharded := range []bool{false, true} {
 			k := sim.NewKernel(7)
-			m := NewMedium(k, Config{ShadowingSigmaDB: sigma, DisableSharding: unsharded})
+			m := NewMedium(k, Config{ShadowingSigmaDB: sigma})
+			send := (*Radio).Send
+			if unsharded {
+				send = (&flatMedium{m: m}).send
+			}
 			radios := make([]*Radio, 0, 30)
 			for i := 0; i < 30; i++ {
 				ch := Channel(1 + 5*(i%3)) // channels 1/6/11
@@ -184,10 +189,18 @@ func TestShardedMatchesUnshardedDigest(t *testing.T) {
 			}
 			for round := 0; round < 20; round++ {
 				src := radios[(round*7)%len(radios)]
-				src.Send(make([]byte, 200+round), Rate11Mbps)
+				send(src, make([]byte, 200+round), Rate11Mbps)
+				if round%2 == 1 {
+					// A concurrent sender: overlapping frames exercise the
+					// capture test against the reference's dB form.
+					send(radios[(round*11+3)%len(radios)], make([]byte, 300), Rate11Mbps)
+				}
 				k.RunFor(5 * sim.Millisecond)
 			}
 			k.Run()
+			if m.Collisions == 0 {
+				t.Fatalf("sigma=%v unsharded=%v: no collisions — the capture test is unexercised", sigma, unsharded)
+			}
 			digests[unsharded] = k.Digest()
 		}
 		if digests[false] != digests[true] {

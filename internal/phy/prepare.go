@@ -51,7 +51,8 @@ type txPrep struct {
 	nChan     int
 	chanGen   [9]uint64 // stamps for channelNeighborhood(channel), ≤ 9 wide
 	overlapsN int       // overlaps prefix the interference scan covered
-	cand      []*Radio
+	gather    gatherBuf
+	capture   captureCheck
 	rx        []prepRx
 }
 
@@ -72,12 +73,13 @@ func (m *Medium) prepare(tx *transmission) {
 		p.chanGen[ch-lo] = m.chanGen[ch]
 	}
 	p.overlapsN = len(tx.overlaps)
-	p.cand = m.gatherInto(p.cand[:0], tx)
-	if cap(p.rx) < len(p.cand) {
-		p.rx = make([]prepRx, len(p.cand))
+	cand := m.gatherInto(&p.gather, tx)
+	p.capture.begin(tx, tx.overlaps[:p.overlapsN])
+	if cap(p.rx) < len(cand) {
+		p.rx = make([]prepRx, len(cand))
 	}
-	p.rx = p.rx[:len(p.cand)]
-	for i, rx := range p.cand {
+	p.rx = p.rx[:len(cand)]
+	for i, rx := range cand {
 		if rx == tx.src {
 			// The commit skips the source before reading its slot.
 			continue
@@ -93,7 +95,7 @@ func (m *Medium) prepare(tx *transmission) {
 		r.floor = snr+rej < decodeFloorSNRDB
 		r.collided = false
 		if !r.floor {
-			r.collided = m.overlapCollides(tx.overlaps[:p.overlapsN], rx, rssi)
+			r.collided = m.overlapCollides(&p.capture, rx, rssi)
 		}
 	}
 	p.prepared = true

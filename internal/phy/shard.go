@@ -2,7 +2,7 @@ package phy
 
 import (
 	"math"
-	"sort"
+	"math/bits"
 )
 
 // This file is the spatial/channel index behind the medium: one shard per
@@ -14,12 +14,14 @@ import (
 // neighborhood, not the world size.
 //
 // Determinism (DESIGN.md §13): shard iteration is always in ascending
-// channel order, grid-cell scans walk a fixed row-major rectangle, and the
-// gathered candidates are sorted by each radio's global insertion index
-// before any RNG-consuming evaluation. The result is the exact radio order
-// the pre-shard medium used (global attach order), restricted to a set that
-// provably contains every radio the loss model would roll dice for — which
-// is why the pinned chaos digests survive the refactor byte-identical.
+// channel order and grid-cell scans walk a fixed row-major rectangle, but
+// neither order is what delivery sees. The gather marks each candidate's
+// global attach index in a bitmap and reads the set bits back in ascending
+// order, so the candidate list comes out in global attach order — the exact
+// radio order the pre-shard medium used — with no comparison sort, in
+// O(radios/64 + candidates). The set provably contains every radio the loss
+// model would roll dice for, which is why the pinned chaos digests survive
+// the index byte-identical.
 
 // decodeFloorDB puts a hard floor under the loss model: a receiver whose
 // pre-rejection SNR sits this far below the most forgiving rate's required
@@ -110,7 +112,7 @@ func (s *mediumShard) insert(r *Radio, key gridKey) {
 }
 
 // remove detaches r from the shard via swap-remove. Membership order is not
-// observable — candidates are re-sorted by global index before delivery.
+// observable — the gather re-orders candidates by global index.
 func (s *mediumShard) remove(r *Radio) {
 	last := len(s.radios) - 1
 	moved := s.radios[last]
@@ -134,24 +136,38 @@ func (s *mediumShard) removeFromCell(r *Radio) {
 	s.grid[r.cell] = cell[:last]
 }
 
-// gatherCandidates collects every radio that could decode (or, with
-// shadowing, would draw for) tx into the delivery loop's scratch buffer.
-func (m *Medium) gatherCandidates(tx *transmission) []*Radio {
-	m.cand = m.gatherInto(m.cand[:0], tx)
-	return m.cand
+// gatherBuf is one gather's scratch: the candidate list it returns and the
+// attach-index bitmap that orders it. The bitmap is all zero between gathers
+// (the ordered walk clears every word it reads), so a gather never pays to
+// reset it. Each concurrent gatherer — the delivery loop, every prepare —
+// owns its own.
+type gatherBuf struct {
+	cand []*Radio
+	bits []uint64
 }
 
-// gatherInto appends tx's candidates to cand, in ascending global attach
-// order — the exact iteration order of the pre-shard medium. It only reads
-// the shard index, so prepare hooks may call it concurrently as long as each
-// passes its own destination buffer.
-func (m *Medium) gatherInto(cand []*Radio, tx *transmission) []*Radio {
+// mark adds radios to the bitmap.
+func (g *gatherBuf) mark(radios []*Radio) {
+	for _, r := range radios {
+		g.bits[r.idx>>6] |= 1 << uint(r.idx&63)
+	}
+}
+
+// gatherInto collects every radio that could decode (or, with shadowing,
+// would draw for) tx into g.cand, in ascending global attach order — the
+// exact iteration order of the pre-shard medium. It only reads the shard
+// index, so prepare hooks may call it concurrently as long as each passes
+// its own buffer.
+func (m *Medium) gatherInto(g *gatherBuf, tx *transmission) []*Radio {
+	if words := (len(m.radios) + 63) >> 6; len(g.bits) < words {
+		g.bits = make([]uint64, words)
+	}
 	lo, hi := channelNeighborhood(tx.channel)
 	if !m.spatial {
 		// Shadowing mode: reception at any distance is a draw, so every
 		// radio in the channel neighborhood participates.
 		for ch := lo; ch <= hi; ch++ {
-			cand = append(cand, m.shards[ch].radios...)
+			g.mark(m.shards[ch].radios)
 		}
 	} else {
 		rad := m.maxDecodeRange(tx.powerDBm)
@@ -170,17 +186,28 @@ func (m *Medium) gatherInto(cand []*Radio, tx *transmission) []*Radio {
 				// Sparse shard: scanning the member list beats probing more
 				// cells than it has radios. Safe either way — the decode
 				// floor, not the grid, is the exact filter.
-				cand = append(cand, s.radios...)
+				g.mark(s.radios)
 				continue
 			}
 			for cy := cy0; cy <= cy1; cy++ {
 				for cx := cx0; cx <= cx1; cx++ {
-					cand = append(cand, s.grid[gridKey{cx, cy}]...)
+					g.mark(s.grid[gridKey{cx, cy}])
 				}
 			}
 		}
 	}
-	sort.Slice(cand, func(i, j int) bool { return cand[i].idx < cand[j].idx })
+	cand := g.cand[:0]
+	for w, word := range g.bits {
+		if word == 0 {
+			continue
+		}
+		g.bits[w] = 0
+		for word != 0 {
+			cand = append(cand, m.radios[w<<6|bits.TrailingZeros64(word)])
+			word &= word - 1
+		}
+	}
+	g.cand = cand
 	return cand
 }
 

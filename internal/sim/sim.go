@@ -109,6 +109,9 @@ type Kernel struct {
 	wheelCount int
 	cursor     int64
 	overflow   []*Event
+	// freeSlots is the LIFO freelist of drained slot backing arrays; an
+	// empty wheel slot holds nil and pops from here on its first insert.
+	freeSlots [][]*Event
 
 	seq     uint64
 	rng     *RNG

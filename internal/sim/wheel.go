@@ -124,7 +124,7 @@ func (k *Kernel) insert(e *Event) {
 			k.slots = make([][]*Event, wheelSlots)
 		}
 		s := tk & wheelMask
-		k.slots[s] = append(k.slots[s], e)
+		k.slots[s] = append(k.slotBuf(s), e)
 		k.occ[s>>6] |= 1 << uint(s&63)
 		k.wheelCount++
 	default:
@@ -195,7 +195,7 @@ func (k *Kernel) ScheduleBatch(entries []BatchEntry) {
 			}
 			slotTick = tk
 			slotIdx = tk & wheelMask
-			slot = append(k.slots[slotIdx], e)
+			slot = append(k.slotBuf(slotIdx), e)
 			k.wheelCount++
 		default:
 			heapPush(&k.overflow, e)
@@ -212,9 +212,38 @@ func (k *Kernel) promote() {
 	}
 }
 
+// slotBuf returns slot s's event list for appending. An empty slot holds no
+// array of its own; it pops one from the kernel's slot freelist, so backing
+// arrays follow the traffic rather than the slot index.
+func (k *Kernel) slotBuf(s int64) []*Event {
+	if slot := k.slots[s]; slot != nil {
+		return slot
+	}
+	n := len(k.freeSlots)
+	if n == 0 {
+		return nil
+	}
+	slot := k.freeSlots[n-1]
+	k.freeSlots[n-1] = nil
+	k.freeSlots = k.freeSlots[:n-1]
+	return slot
+}
+
+// releaseSlot empties slot s and returns its cleared backing array to the
+// freelist.
+func (k *Kernel) releaseSlot(s int64) {
+	k.freeSlots = append(k.freeSlots, k.slots[s][:0])
+	k.slots[s] = nil
+}
+
 // loadSlot moves the cursor slot's events into the imminent heap, dropping
-// cancelled ones. The slot's backing array is retained for reuse, so slot
-// storage reaches a steady state with no per-event growth.
+// cancelled ones. The drained backing array goes back to the slot freelist
+// (slotBuf), so the arrays in existence never outnumber the most slots ever
+// occupied at once. Retaining each array in its own slot instead would let a large
+// periodic batch whose period drifts against the wheel window (a per-second
+// fan-out lands on a fresh slot index each time) leave a batch-sized array
+// behind in every slot it ever touched — storage growing with simulated
+// time, up to wheelSlots × the largest batch.
 func (k *Kernel) loadSlot() {
 	s := k.cursor & wheelMask
 	slot := k.slots[s]
@@ -228,7 +257,7 @@ func (k *Kernel) loadSlot() {
 		}
 		slot[i] = nil
 	}
-	k.slots[s] = slot[:0]
+	k.releaseSlot(s)
 	k.occ[s>>6] &^= 1 << uint(s&63)
 }
 
@@ -332,7 +361,7 @@ func (k *Kernel) drainQueue() {
 			word &^= 1 << uint(b)
 			s := int64(w)<<6 + int64(b)
 			drain(k.slots[s])
-			k.slots[s] = k.slots[s][:0]
+			k.releaseSlot(s)
 		}
 		k.occ[w] = 0
 	}

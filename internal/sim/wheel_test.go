@@ -206,8 +206,8 @@ func TestSlotTableLazy(t *testing.T) {
 	if k.slots != nil {
 		t.Fatal("NewKernel allocated the slot table eagerly")
 	}
-	k.Schedule(0, func() {})                                 // imminent tier
-	k.Schedule(Time(2)<<slotShift*wheelSlots, func() {})     // overflow tier
+	k.Schedule(0, func() {})                             // imminent tier
+	k.Schedule(Time(2)<<slotShift*wheelSlots, func() {}) // overflow tier
 	if k.slots != nil {
 		t.Fatal("imminent/overflow inserts allocated the slot table")
 	}
@@ -217,5 +217,59 @@ func TestSlotTableLazy(t *testing.T) {
 	}
 	if k.Run() != 3 {
 		t.Fatalf("fired = %d, want all 3 queued events", k.fired)
+	}
+}
+
+// slotCapacity sums the event capacity the wheel retains: every slot's
+// backing array plus every array parked on the slot freelist.
+func slotCapacity(k *Kernel) int {
+	n := 0
+	for _, s := range k.slots {
+		n += cap(s)
+	}
+	for _, s := range k.freeSlots {
+		n += cap(s)
+	}
+	return n
+}
+
+// TestWheelSlotStorageBounded pins slot storage against simulated time: a
+// 1024-event batch every simulated second — a period that drifts against the
+// wheel window, so each batch lands on a different slot index — alongside a
+// standing storm of short timers must keep the wheel's retained capacity
+// under a bound set by how many slots are occupied at once, not by run
+// length. Storage kept per slot index would instead accumulate one
+// batch-sized array per slot ever hit (~325k events of capacity by 200 s).
+func TestWheelSlotStorageBounded(t *testing.T) {
+	k := NewKernel(3)
+	const batch = 1024
+	entries := make([]BatchEntry, batch)
+	var tick func()
+	tick = func() {
+		for i := range entries {
+			entries[i] = BatchEntry{When: k.Now() + 500*Millisecond, Fn: func() {}}
+		}
+		k.ScheduleBatch(entries)
+		k.ScheduleAfter(Second, tick)
+	}
+	tick()
+	var chain func()
+	chain = func() { k.ScheduleAfter(200*Microsecond+k.RNG().Jitter(4*Millisecond), chain) }
+	const chains = 32
+	for i := 0; i < chains; i++ {
+		chain()
+	}
+	peak := 0
+	for s := 0; s < 200; s++ {
+		k.RunFor(Second)
+		if c := slotCapacity(k); c > peak {
+			peak = c
+		}
+	}
+	// Arrays never outnumber the slots occupied at once (chains + the batch
+	// + the pacing timer), and each grows to at most twice the largest slot
+	// population, so this bound holds for any run length.
+	if bound := (chains + 2) * 2 * batch; peak > bound {
+		t.Fatalf("wheel retains capacity for %d events after 200 s, want ≤ %d independent of run length", peak, bound)
 	}
 }

@@ -8,7 +8,8 @@
 #   - the sim kernel throughput benchmarks (events/sec at several standing
 #     queue depths, the reference-heap comparison, and the soak bench);
 #   - the sharded-medium broadcast benchmarks (per-transmission delivery
-#     cost at 64/1k/4k radios, plus the unsharded 1k comparison floor);
+#     cost at 64/1k/4k radios, plus the unsharded 1k comparison floor) and
+#     the concurrent-burst storm bench (capture test and collision path);
 #   - the per-layer marshal micro-benches (WEP seal, TCP segment, IPv4
 #     header push, 802.11 header).
 #
@@ -43,7 +44,7 @@ trap 'rm -f "$TMP"' EXIT
 go test -run '^$' -bench . -benchmem -benchtime 1x . | tee "$TMP"
 go test -run '^$' -bench 'KernelEventsPerSec|RefHeapEventsPerSec|KernelSoak' \
 	-benchmem -benchtime "$MICROTIME" ./internal/sim/ | tee -a "$TMP"
-go test -run '^$' -bench 'MediumBroadcast/|MediumBroadcastUnsharded' \
+go test -run '^$' -bench 'MediumBroadcast/|MediumBroadcastUnsharded|MediumStorm' \
 	-benchmem -benchtime "$MICROTIME" ./internal/phy/ | tee -a "$TMP"
 go test -run '^$' -bench 'WEPSeal$|TCPMarshal$|IPv4Push$|Dot11Data$' \
 	-benchmem -benchtime "$MICROTIME" \

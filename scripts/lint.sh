@@ -13,6 +13,14 @@ GOVULNCHECK_VERSION=${GOVULNCHECK_VERSION:-v1.1.3}
 
 cd "$(dirname "$0")/.."
 
+echo "== gofmt (non-vendor) =="
+unformatted=$(find . -name '*.go' -not -path './vendor/*' -not -path './.*' | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting (run gofmt -w):"
+	echo "$unformatted"
+	exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
 
