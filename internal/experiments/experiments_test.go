@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 
@@ -296,37 +295,6 @@ func TestE14Shape(t *testing.T) {
 	// degradation, not a teardown.
 	if mustCell(t, tbl, 4, 4) != "0.0" {
 		t.Fatalf("link-flap tripped DPD: %v", tbl.Rows[4])
-	}
-}
-
-// TestParallelSweepsMatchSequential pins the tentpole's determinism claim:
-// every table fans its trials out through core.Sweep, and fanning across
-// workers must not change a single byte of any rendered table. GOMAXPROCS=1
-// forces the sweep's sequential fallback; GOMAXPROCS=4 forces the worker
-// pool even on a single-core machine (workers pull points in whatever order
-// the scheduler allows — only the result slots are ordered).
-func TestParallelSweepsMatchSequential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full tiny-scale suite twice")
-	}
-	render := func() []string {
-		tables := All(tiny)
-		out := make([]string, len(tables))
-		for i, tbl := range tables {
-			out[i] = tbl.String()
-		}
-		return out
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	runtime.GOMAXPROCS(1)
-	seq := render()
-	runtime.GOMAXPROCS(4)
-	par := render()
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Errorf("table %d differs between sequential and parallel sweeps.\n--- sequential ---\n%s--- parallel ---\n%s",
-				i, seq[i], par[i])
-		}
 	}
 }
 

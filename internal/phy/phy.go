@@ -157,14 +157,18 @@ type Medium struct {
 	// cellSize is the grid cell edge (one default-power decode range).
 	cellSize float64
 	// spatial enables grid pruning, the decode floor and the log-free
-	// capture test. It is off when shadowing is on (reception at any
-	// distance is then a draw the loss model must keep making).
+	// floor and capture tests. It is off when shadowing is on (reception at
+	// any distance is then a draw the loss model must keep making).
 	spatial bool
 	// gather and capture are the serial delivery loop's scratch: its
-	// candidate gather and its capture-factor memo. Prepare hooks never
+	// candidate gather and its audible-overlap lists. Prepare hooks never
 	// touch them — each transmission's txPrep owns its own.
 	gather  gatherBuf
 	capture captureCheck
+	// chanFactor[a][b] is the channel part of the capture factor
+	// (captureFactor) for a transmission a channels from the receiver
+	// against an overlap b channels from it; b ≥ 5 is inaudible.
+	chanFactor [MaxChannel][5]float64
 
 	// posGen/chanGen are staleness stamps for speculative delivery prepares
 	// (prepare.go): any SetPosition bumps posGen; attaching or retuning a
@@ -202,7 +206,10 @@ type transmission struct {
 	channel    Channel
 	start, end sim.Time
 	powerDBm   float64
-	data       []byte
+	// floorR2 is the source radio's squared decode-floor range,
+	// snapshotted with powerDBm.
+	floorR2 float64
+	data    []byte
 	// buf owns the bytes data views; the medium releases it when the
 	// transmission completes.
 	buf  *pkt.Buf
@@ -231,6 +238,12 @@ func NewMedium(k *sim.Kernel, cfg Config) *Medium {
 	m := &Medium{kernel: k, cfg: cfg, rng: k.RNG().Fork()}
 	m.cellSize = m.maxDecodeRange(defaultTxPowerDBm)
 	m.spatial = cfg.ShadowingSigmaDB == 0
+	for a := range m.chanFactor {
+		for b := range m.chanFactor[a] {
+			delta := cfg.CaptureThresholdDB + channelRejectionDB(Channel(a), 0) - channelRejectionDB(Channel(b), 0)
+			m.chanFactor[a][b] = math.Pow(10, delta/(5*cfg.PathLossExponent))
+		}
+	}
 	// The medium is the kernel's only source of preparable events, and every
 	// completion it schedules is at least one PLCP preamble away — the
 	// minimum airtime is the conservative lookahead (DESIGN.md §14).
@@ -328,11 +341,14 @@ type Receiver func(data []byte, info RxInfo)
 // Radio is one 802.11 transceiver attached to the medium. A radio is
 // half-duplex and tuned to a single channel at a time.
 type Radio struct {
-	medium   *Medium
-	name     string
-	pos      Position
-	channel  Channel
-	txPower  float64 // dBm
+	medium  *Medium
+	name    string
+	pos     Position
+	channel Channel
+	txPower float64 // dBm
+	// floorR2 follows txPower: the squared decode-floor range,
+	// floorRange2, cached so that no completion calls math.Pow.
+	floorR2  float64
 	recv     Receiver
 	sendBusy sim.Time // our own tx serialisation
 	// down radios neither transmit nor receive — the link-flap fault.
@@ -374,7 +390,8 @@ func (m *Medium) AddRadio(cfg RadioConfig) *Radio {
 	if !cfg.Channel.Valid() {
 		panic(fmt.Sprintf("phy: invalid channel %d", cfg.Channel))
 	}
-	r := &Radio{medium: m, name: cfg.Name, pos: cfg.Pos, channel: cfg.Channel, txPower: cfg.TxPowerDBm}
+	r := &Radio{medium: m, name: cfg.Name, pos: cfg.Pos, channel: cfg.Channel}
+	r.setTxPower(cfg.TxPowerDBm)
 	r.digestLabel = "phy/rx:" + cfg.Name
 	r.idx = len(m.radios)
 	m.radios = append(m.radios, r)
@@ -438,7 +455,13 @@ func (r *Radio) Down() bool { return r.down }
 func (r *Radio) TxPowerDBm() float64 { return r.txPower }
 
 // SetTxPowerDBm adjusts transmit power (the rogue AP cranks this up).
-func (r *Radio) SetTxPowerDBm(p float64) { r.txPower = p }
+func (r *Radio) SetTxPowerDBm(p float64) { r.setTxPower(p) }
+
+// setTxPower sets the transmit power and the floor range derived from it.
+func (r *Radio) setTxPower(p float64) {
+	r.txPower = p
+	r.floorR2 = r.medium.floorRange2(p)
+}
 
 // SetReceiver installs the MAC-layer frame handler. The PHY delivers every
 // decodable frame on the tuned channel; address filtering is the MAC's job,
@@ -488,7 +511,8 @@ func (r *Radio) SendBuf(pb *pkt.Buf, rate Rate) sim.Time {
 
 	tx := m.getTx()
 	tx.src, tx.channel, tx.start, tx.end = r, r.channel, start, end
-	tx.powerDBm, tx.data, tx.buf, tx.rate, tx.air = r.txPower, pb.Bytes(), pb, rate, air
+	tx.powerDBm, tx.floorR2 = r.txPower, r.floorR2
+	tx.data, tx.buf, tx.rate, tx.air = pb.Bytes(), pb, rate, air
 	// Register overlaps across every shard (in fixed channel order): a
 	// transmission up to 8 channels away can still interfere at a receiver
 	// sitting between the two, so the overlap graph stays channel-blind —
@@ -575,12 +599,12 @@ func (m *Medium) complete(tx *transmission) {
 
 	// Candidate order is the global attach order in every mode — the RNG
 	// draw sequence per candidate is what the digest contract pins. A valid
-	// speculative prepare supplies the candidate list and the per-candidate
-	// deterministic math (same pure functions, same inputs — bit-identical);
-	// everything involving RNG, counters, the digest, or receiver callbacks
-	// happens here, serially, in either case.
+	// speculative prepare supplies the candidate list and each candidate's
+	// evalRx result (same helper, same inputs — bit-identical); everything
+	// involving RNG, counters, the digest, or receiver callbacks happens
+	// here, serially, in either case.
 	var cand []*Radio
-	var prx []prepRx
+	var prx []rxEval
 	cc := &m.capture
 	if m.prepValid(tx) {
 		cand, prx = tx.prep.gather.cand, tx.prep.rx
@@ -603,41 +627,26 @@ func (m *Medium) complete(tx *transmission) {
 		if rx == tx.src || rx.down || rx.recv == nil {
 			continue
 		}
-		var rssi, snr float64
-		var floor, collided bool
+		var r rxEval
 		if prx != nil {
-			r := &prx[i]
-			rssi, snr, floor, collided = r.rssi, r.snr, r.floor, r.collided
-			if !floor && !collided {
-				collided = m.overlapCollides(cc, rx, rssi)
+			r = prx[i]
+			if !r.floor && !r.collided {
+				r.collided = m.overlapCollides(cc, rx, &r)
 			}
 		} else {
-			rej := channelRejectionDB(tx.channel, rx.channel)
-			rssi = m.rxPowerDBm(tx.powerDBm, tx.src.pos, rx.pos) - rej
-			snr = rssi - m.cfg.NoiseFloorDBm
-			// Below the decode floor: deterministically lost, no RNG draw.
-			// The floor deliberately ignores channel rejection — it is the
-			// same pure distance/power cut maxDecodeRange solves for, which
-			// is what makes grid pruning sound AND keeps the draw sequence
-			// for every in-range radio identical to the pre-shard medium
-			// (a close radio on an adjacent channel still rolls its dice,
-			// exactly as before, however hopeless rejection makes them).
-			floor = m.spatial && snr+rej < decodeFloorSNRDB
-			if !floor {
-				collided = m.overlapCollides(cc, rx, rssi)
-			}
+			m.evalRx(cc, tx, rx, &r)
 		}
-		if floor {
+		if r.floor {
 			rx.RxBelowSNR++
 			m.SNRDrops++
 			continue
 		}
-		if collided {
+		if r.collided {
 			rx.RxCollisions++
 			m.Collisions++
 			continue
 		}
-		if !m.frameSurvives(snr, len(tx.data), rate) {
+		if !m.frameSurvives(r.snr, len(tx.data), rate) {
 			rx.RxBelowSNR++
 			m.SNRDrops++
 			continue
@@ -646,146 +655,273 @@ func (m *Medium) complete(tx *transmission) {
 		m.Deliveries++
 		m.kernel.MixDigest(rx.digestLabel, tx.data)
 		info := RxInfo{
-			Channel: tx.channel, RSSIDBm: rssi, SNRDB: snr,
+			Channel: tx.channel, RSSIDBm: r.rssi, SNRDB: r.snr,
 			Rate: rate, At: now, Airtime: air, Src: tx.src,
 		}
 		rx.recv(tx.data, info)
 	}
 }
 
-// captureGuard is the relative guard band of the log-free capture test
-// (overlapCollides): a squared-distance comparison this close to its
-// boundary defers to the exact dB expression. The filter's own float error
-// is ~1e-15 relative and the exact expression's ~1e-13 dB, while 1e-9
-// relative in squared distance is ~5e-9 dB of margin at any path-loss
-// exponent the model uses, so outside the band both round to the same
-// side of the threshold.
-const captureGuard = 1e-9
+// rxEval is one candidate's reception up to, not including, the loss draw.
+type rxEval struct {
+	// d2 is the squared tx–rx distance (spatial mode only).
+	d2 float64
+	// rssi and snr are valid once known is set. Only a candidate that
+	// reaches the loss draw, or a filter fallback, needs them.
+	rssi, snr float64
+	known     bool
+	// floor: deterministically below the decode floor (no RNG draw).
+	floor bool
+	// collided: defeated by one of the capture check's overlaps.
+	collided bool
+}
+
+// evalRx evaluates tx at candidate rx against c's overlaps: the decode-floor
+// cut, the capture test and, for a candidate that passes both, rssi and
+// snr. The serial loop and the prepare hook share it, so both produce the
+// same decisions and the same floats.
+//
+// In spatial mode it draws nothing and takes no logarithm until one is
+// observed. Path loss is L(d) = L0 + k·log10(max(d, 1)), k =
+// 10·PathLossExponent, so the floor test snr+rej < decodeFloorSNRDB holds
+// exactly when max(d², 1) > R², R² = floorRange2(P_tx) — a squared-distance
+// comparison against a per-radio constant. It decides outside sqGuard's band
+// and falls back to the dB expression inside it. The capture test compares
+// squared distances too (overlapCollides). Only a candidate that passes both
+// computes rssi, with the expression RxInfo has always reported: dot11's
+// loudest-AP choice reads it, so its bits must not change.
+//
+// With shadowing, rxPowerDBm draws once per candidate, before the capture
+// test, exactly as the flat medium does, and there is no floor.
+func (m *Medium) evalRx(c *captureCheck, tx *transmission, rx *Radio, r *rxEval) {
+	if !m.spatial {
+		m.rssiAt(tx, rx, r)
+		r.collided = m.overlapCollides(c, rx, r)
+		return
+	}
+	dx, dy := tx.src.pos.X-rx.pos.X, tx.src.pos.Y-rx.pos.Y
+	r.d2 = dx*dx + dy*dy
+	switch sqCompare(max(r.d2, 1), tx.floorR2) {
+	case sqAbove:
+		r.floor = true
+	case sqNear:
+		// The floor deliberately ignores channel rejection — it is the same
+		// pure distance/power cut maxDecodeRange solves for, which is what
+		// makes grid pruning sound AND keeps the draw sequence for every
+		// in-range radio identical to the pre-shard medium (a close radio on
+		// an adjacent channel still rolls its dice, exactly as before,
+		// however hopeless rejection makes them).
+		m.rssiAt(tx, rx, r)
+		r.floor = r.snr+channelRejectionDB(tx.channel, rx.channel) < decodeFloorSNRDB
+	}
+	if r.floor {
+		return
+	}
+	if r.collided = m.overlapCollides(c, rx, r); !r.collided {
+		m.rssiAt(tx, rx, r)
+	}
+}
+
+// rssiAt computes r's rssi and snr unless they are already known. With
+// shadowing, rxPowerDBm draws from the medium's RNG.
+func (m *Medium) rssiAt(tx *transmission, rx *Radio, r *rxEval) {
+	if r.known {
+		return
+	}
+	r.rssi = m.rxPowerDBm(tx.powerDBm, tx.src.pos, rx.pos) - channelRejectionDB(tx.channel, rx.channel)
+	r.snr = r.rssi - m.cfg.NoiseFloorDBm
+	r.known = true
+}
+
+// floorRange2 is R² for a transmitter at powerDBm: the squared distance
+// beyond which its pre-rejection SNR falls under decodeFloorSNRDB (see
+// evalRx). maxDecodeRange is the same range with slack, for the grid.
+func (m *Medium) floorRange2(powerDBm float64) float64 {
+	exp := (powerDBm - m.cfg.ReferenceLossDB - m.cfg.NoiseFloorDBm - decodeFloorSNRDB) /
+		(5 * m.cfg.PathLossExponent)
+	return math.Pow(10, exp)
+}
+
+// sqGuard is the relative guard band of the log-free floor and capture
+// tests: a squared-distance comparison this close to its boundary defers to
+// the exact dB expression. The filters' own float error is ~1e-15 relative
+// and the exact expressions' ~1e-13 dB, while 1e-9 relative in squared
+// distance is ~5e-9 dB of margin at any path-loss exponent the model uses,
+// so outside the band both round to the same side of the threshold.
+const sqGuard = 1e-9
+
+// Outcomes of sqCompare.
+const (
+	sqAbove = iota // a is clearly greater than b
+	sqBelow        // a is clearly less than b
+	sqNear         // inside the guard band, or no meaningful margin
+)
+
+// sqCompare compares a squared distance a with a bound b under sqGuard's
+// band. An infinite or NaN operand leaves no meaningful margin and comes out
+// sqNear, so the caller decides exactly.
+func sqCompare(a, b float64) int {
+	switch d := a - b; {
+	case d > sqGuard*b:
+		return sqAbove
+	case d < -sqGuard*b:
+		return sqBelow
+	}
+	return sqNear
+}
 
 // captureCheck is one candidate loop's capture context: the transmission
-// being delivered, the overlaps its receivers must survive, and the capture
-// factor memoized per (overlap, receiver channel). A completion owns one
+// being delivered, the overlaps its receivers must survive, and per
+// receiver channel the list of overlaps audible on it. A completion owns one
 // (the medium's for the serial loop, the txPrep's for a prepare) and calls
 // begin before its candidate loop.
 type captureCheck struct {
 	tx       *transmission
 	overlaps []*transmission
-	// fac[i*chanSlots+ch] is overlaps[i]'s capture factor at a receiver
-	// tuned to ch, valid once bit ch of have[i] is set.
-	fac  []float64
-	have []uint16
+	// buf backs every channel's list: lists[ch] is buf[lists[ch].lo:hi],
+	// valid once bit ch of built is set. posGen is the medium's position
+	// stamp when buf was filled; the lists snapshot source positions.
+	buf    []audible
+	lists  [chanSlots]struct{ lo, hi int32 }
+	built  uint16
+	posGen uint64
+	// start[ch] is the list index of the entry that last defeated a
+	// receiver tuned to ch; scans begin there.
+	start [chanSlots]int32
 }
 
-// chanSlots is the per-overlap stride of captureCheck.fac: one slot per
-// channel number, 0 unused.
+// audible is one overlap as heard on one receiver channel: its source
+// position and its nonzero capture factor there.
+type audible struct {
+	o    *transmission
+	x, y float64
+	f    float64
+}
+
+// chanSlots sizes captureCheck's per-channel arrays: one slot per channel
+// number, 0 unused.
 const chanSlots = int(MaxChannel) + 1
 
 // begin arms c for a candidate loop delivering tx against overlaps.
 func (c *captureCheck) begin(tx *transmission, overlaps []*transmission) {
 	c.tx, c.overlaps = tx, overlaps
-	n := len(overlaps)
-	if cap(c.have) < n {
-		c.have = make([]uint16, n)
-		c.fac = make([]float64, n*chanSlots)
+	c.built = 0
+	c.buf = c.buf[:0]
+}
+
+// audible returns the overlaps a receiver tuned to ch can hear, building the
+// list on first use. A radio moved since the lists were built (only a
+// receiver callback could do that mid-completion) drops them all.
+func (c *captureCheck) audible(m *Medium, ch Channel) []audible {
+	if c.posGen != m.posGen {
+		c.posGen, c.built, c.buf = m.posGen, 0, c.buf[:0]
 	}
-	c.have = c.have[:n]
-	clear(c.have)
+	bit := uint16(1) << uint(ch)
+	if c.built&bit == 0 {
+		lo := len(c.buf)
+		for _, o := range c.overlaps {
+			if f := m.captureFactor(c.tx, o, ch); f != 0 {
+				c.buf = append(c.buf, audible{o: o, x: o.src.pos.X, y: o.src.pos.Y, f: f})
+			}
+		}
+		c.lists[ch].lo, c.lists[ch].hi = int32(lo), int32(len(c.buf))
+		c.start[ch] = 0
+		c.built |= bit
+	}
+	l := c.lists[ch]
+	return c.buf[l.lo:l.hi]
 }
 
 // overlapCollides reports whether any of c's overlaps is loud enough at rx
-// to defeat capture of c.tx received at rssi. No RNG, no counters — the
-// same pure predicate serves the serial path, the prepare hook (prefix),
-// and the commit-time fold (suffix). The early return is sound for the same
-// reason the prefix/suffix split is: only the OR is observable.
+// to defeat capture of c.tx, received at r. No RNG, no counters, and no
+// writes beyond c's lists and r's lazy rssi — the same predicate serves the
+// serial path, the prepare hook (prefix), and the commit-time fold
+// (suffix). The early return is sound for the same reason the prefix/suffix
+// split is: only the OR is observable.
 //
-// Without shadowing, rssi is exactly P_tx − L(d_tx) − rej_tx with the
-// log-distance L(d) = L0 + k·log10(max(d, 1)), k = 10·PathLossExponent, so
+// Without shadowing, rssi is exactly P_tx − L(d_tx) − rej_tx, so
 // overlapDefeats' test rssi − op < C holds exactly when
 //
 //	max(d_o², 1) < max(d_tx², 1) · 10^(2Δ/k),  Δ = C + P_o − P_tx + rej_tx − rej_o.
 //
 // That compares squared distances against a factor fixed per (overlap,
 // receiver channel), with no logarithm or square root per receiver. Inside
-// captureGuard of the boundary it falls back to overlapDefeats, so every
-// decision equals the exact expression's. Shadowed media add a random term
-// to rssi and always take the exact path.
-func (m *Medium) overlapCollides(c *captureCheck, rx *Radio, rssi float64) bool {
+// sqGuard of the boundary it falls back to overlapDefeats, computing rssi on
+// demand, so every decision equals the exact expression's. The scan walks
+// rx's channel list only — overlaps orthogonal to it are not on it — and
+// starts at the entry that last defeated a receiver on that channel; the
+// order is free because only the OR is observable. Shadowed media add a
+// random term to rssi and always take the exact path.
+func (m *Medium) overlapCollides(c *captureCheck, rx *Radio, r *rxEval) bool {
 	if !m.spatial {
 		for _, o := range c.overlaps {
-			if m.overlapDefeats(o, rx, rssi) {
+			if m.overlapDefeats(o, rx, r.rssi) {
 				return true
 			}
 		}
 		return false
 	}
-	tx := c.tx
-	dtx2 := -1.0 // computed on first use
-	for i, o := range c.overlaps {
-		slot := i*chanSlots + int(rx.channel)
-		f := c.fac[slot]
-		if bit := uint16(1) << uint(rx.channel); c.have[i]&bit == 0 {
-			f = m.captureFactor(tx, o, rx.channel)
-			c.fac[slot] = f
-			c.have[i] |= bit
-		}
-		if f == 0 {
-			continue
-		}
-		if dtx2 < 0 {
-			dx, dy := tx.src.pos.X-rx.pos.X, tx.src.pos.Y-rx.pos.Y
-			dtx2 = dx*dx + dy*dy
-		}
-		dx, dy := o.src.pos.X-rx.pos.X, o.src.pos.Y-rx.pos.Y
-		switch captureFilter(dx*dx+dy*dy, dtx2, f) {
-		case captureLost:
-			return true
-		case captureUndecided:
-			if m.overlapDefeats(o, rx, rssi) {
-				return true
-			}
-		}
+	if len(c.overlaps) == 0 {
+		return false
+	}
+	list := c.audible(m, rx.channel)
+	start := c.start[rx.channel]
+	if k := m.firstDefeat(c.tx, list[start:], rx, r); k >= 0 {
+		c.start[rx.channel] = start + int32(k)
+		return true
+	}
+	if k := m.firstDefeat(c.tx, list[:start], rx, r); k >= 0 {
+		c.start[rx.channel] = int32(k)
+		return true
 	}
 	return false
 }
 
-// captureFactor is 10^(2Δ/k) for overlap o against tx at a receiver tuned
-// to ch (see overlapCollides), or 0 when o's channel is orthogonal to ch: an
-// overlap the receiver cannot hear never defeats capture.
-func (m *Medium) captureFactor(tx, o *transmission, ch Channel) float64 {
-	orej := channelRejectionDB(o.channel, ch)
-	if math.IsInf(orej, 1) {
-		return 0
+// firstDefeat returns the index of the first entry in list that defeats
+// capture of tx at rx, or -1.
+func (m *Medium) firstDefeat(tx *transmission, list []audible, rx *Radio, r *rxEval) int {
+	dtx2 := max(r.d2, 1)
+	for k := range list {
+		e := &list[k]
+		dx, dy := e.x-rx.pos.X, e.y-rx.pos.Y
+		switch sqCompare(max(dx*dx+dy*dy, 1), dtx2*e.f) {
+		case sqBelow:
+			return k
+		case sqNear:
+			m.rssiAt(tx, rx, r)
+			if m.overlapDefeats(e.o, rx, r.rssi) {
+				return k
+			}
+		}
 	}
-	delta := m.cfg.CaptureThresholdDB + o.powerDBm - tx.powerDBm + channelRejectionDB(tx.channel, ch) - orej
-	return math.Pow(10, delta/(5*m.cfg.PathLossExponent))
+	return -1
 }
 
-// Outcomes of captureFilter.
-const (
-	captureHeld = iota
-	captureLost
-	captureUndecided
-)
+// captureFactor is 10^(2Δ/k) for overlap o against tx at a receiver tuned
+// to ch (see overlapCollides), or 0 when o's channel is orthogonal to ch: an
+// overlap the receiver cannot hear never defeats capture. It splits into a
+// channel part and a power part,
+//
+//	10^(2Δ/k) = chanFactor[|tx.ch − ch|][|o.ch − ch|] · 10^(2P_o/k) / 10^(2P_tx/k),
+//
+// and the power part is the ratio of the two floor ranges R² (floorRange2),
+// whose common term cancels. All of it is precomputed; the product costs a
+// few ulps against one math.Pow, far inside sqGuard, whose band absorbs
+// any factor error under ~1e-10.
+func (m *Medium) captureFactor(tx, o *transmission, ch Channel) float64 {
+	b := chanDistance(o.channel, ch)
+	if b >= len(m.chanFactor[0]) {
+		return 0
+	}
+	return m.chanFactor[chanDistance(tx.channel, ch)][b] * o.floorR2 / tx.floorR2
+}
 
-// captureFilter evaluates max(do2, 1) < max(dtx2, 1)·f with captureGuard's
-// band: captureLost when it clearly holds, captureHeld when it clearly does
-// not, captureUndecided inside the band — or when an infinite or NaN
-// operand leaves no meaningful margin — so the caller decides exactly.
-func captureFilter(do2, dtx2, f float64) int {
-	if do2 < 1 {
-		do2 = 1
+// chanDistance is |a − b| in channel numbers.
+func chanDistance(a, b Channel) int {
+	if a < b {
+		return int(b - a)
 	}
-	if dtx2 < 1 {
-		dtx2 = 1
-	}
-	b := dtx2 * f
-	switch d := do2 - b; {
-	case d > captureGuard*b:
-		return captureHeld
-	case d < -captureGuard*b:
-		return captureLost
-	}
-	return captureUndecided
+	return int(a - b)
 }
 
 // overlapDefeats is the exact capture predicate: o, heard at rx after

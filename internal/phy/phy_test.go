@@ -2,6 +2,7 @@ package phy
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -163,12 +164,24 @@ func TestDecodeFloorSkipsWithoutDraw(t *testing.T) {
 
 func TestShardedMatchesUnshardedDigest(t *testing.T) {
 	// Differential check: with all radios inside decode range, the sharded
-	// medium must reproduce the flat reference scan's digest (flat_test.go)
-	// byte-identically — same candidates, same order, same draws, same
-	// capture decisions. Run with and without shadowing (shadowing adds a
-	// per-candidate draw and disables pruning).
+	// medium must reproduce the flat reference scan (flat_test.go) exactly
+	// — same candidates, same order, same draws, same capture decisions.
+	// The digest mixes frame bytes only, so the check also compares every
+	// delivery's receiver and RxInfo floats bit for bit (dot11's loudest-AP
+	// choice reads RSSIDBm) and every radio's reception counters, and
+	// requires those counters to sum to the medium's. Run with and without
+	// shadowing (shadowing adds a per-candidate draw and disables pruning).
+	type delivery struct {
+		rx        int
+		rssi, snr uint64
+	}
+	type outcome struct {
+		digest     uint64
+		deliveries []delivery
+		counters   [][3]uint64
+	}
 	for _, sigma := range []float64{0, 3} {
-		digests := map[bool]uint64{}
+		outcomes := map[bool]outcome{}
 		for _, unsharded := range []bool{false, true} {
 			k := sim.NewKernel(7)
 			m := NewMedium(k, Config{ShadowingSigmaDB: sigma})
@@ -176,6 +189,7 @@ func TestShardedMatchesUnshardedDigest(t *testing.T) {
 			if unsharded {
 				send = (&flatMedium{m: m}).send
 			}
+			var got outcome
 			radios := make([]*Radio, 0, 30)
 			for i := 0; i < 30; i++ {
 				ch := Channel(1 + 5*(i%3)) // channels 1/6/11
@@ -184,7 +198,12 @@ func TestShardedMatchesUnshardedDigest(t *testing.T) {
 					Pos:     Position{float64(i%6) * 30, float64(i/6) * 30},
 					Channel: ch,
 				})
-				r.SetReceiver(func(data []byte, info RxInfo) {})
+				i := i
+				r.SetReceiver(func(data []byte, info RxInfo) {
+					got.deliveries = append(got.deliveries, delivery{
+						rx: i, rssi: math.Float64bits(info.RSSIDBm), snr: math.Float64bits(info.SNRDB),
+					})
+				})
 				radios = append(radios, r)
 			}
 			for round := 0; round < 20; round++ {
@@ -198,13 +217,36 @@ func TestShardedMatchesUnshardedDigest(t *testing.T) {
 				k.RunFor(5 * sim.Millisecond)
 			}
 			k.Run()
-			if m.Collisions == 0 {
-				t.Fatalf("sigma=%v unsharded=%v: no collisions — the capture test is unexercised", sigma, unsharded)
+			if m.Collisions == 0 || m.Deliveries == 0 {
+				t.Fatalf("sigma=%v unsharded=%v: %d collisions, %d deliveries — want both exercised",
+					sigma, unsharded, m.Collisions, m.Deliveries)
 			}
-			digests[unsharded] = k.Digest()
+			var sum [3]uint64
+			for _, r := range radios {
+				c := [3]uint64{r.RxFrames, r.RxCollisions, r.RxBelowSNR}
+				got.counters = append(got.counters, c)
+				for j := range sum {
+					sum[j] += c[j]
+				}
+			}
+			if want := [3]uint64{m.Deliveries, m.Collisions, m.SNRDrops}; sum != want {
+				t.Fatalf("sigma=%v unsharded=%v: per-radio frames/collisions/below-SNR sum to %v, medium counts %v",
+					sigma, unsharded, sum, want)
+			}
+			got.digest = k.Digest()
+			outcomes[unsharded] = got
 		}
-		if digests[false] != digests[true] {
-			t.Fatalf("sigma=%v: sharded digest %016x != unsharded %016x", sigma, digests[false], digests[true])
+		sharded, flat := outcomes[false], outcomes[true]
+		if sharded.digest != flat.digest {
+			t.Fatalf("sigma=%v: sharded digest %016x != unsharded %016x", sigma, sharded.digest, flat.digest)
+		}
+		if !slices.Equal(sharded.deliveries, flat.deliveries) {
+			t.Fatalf("sigma=%v: sharded deliveries (receiver, RSSI, SNR bits) differ from unsharded:\n%v\n%v",
+				sigma, sharded.deliveries, flat.deliveries)
+		}
+		if !slices.Equal(sharded.counters, flat.counters) {
+			t.Fatalf("sigma=%v: per-radio frames/collisions/below-SNR differ:\nsharded   %v\nunsharded %v",
+				sigma, sharded.counters, flat.counters)
 		}
 	}
 }

@@ -3,19 +3,23 @@ package phy
 // Speculative delivery preparation (DESIGN.md §14). Under a windowed kernel
 // (sim.SetWorkers), each transmission's completion event carries a prepare
 // hook that runs the deterministic, RNG-free part of delivery ahead of time,
-// possibly on a worker goroutine: the candidate gather, the per-receiver
-// RSSI/SNR math, the decode-floor cut, and the interference scan over the
-// overlaps registered so far. The completion itself — RNG draws, counters,
-// digest mixes, receiver callbacks — always commits serially, consuming the
-// prepared values only when the generation stamps prove no input changed.
+// possibly on a worker goroutine: the candidate gather and, per candidate,
+// the serial loop's own evalRx — the squared-distance decode-floor cut, the
+// capture scan over the overlaps registered so far, and rssi/snr only for a
+// candidate that passes both. Every candidate keeps its squared distance
+// for the commit-time fold of later overlaps. The completion itself — RNG
+// draws, counters, digest mixes, receiver callbacks — always commits
+// serially, consuming the prepared values only when the generation stamps
+// prove no input changed.
 //
 // The purity contract (sim.Event.prep): a prepare reads shared medium state
 // but writes only its own transmission's txPrep. That holds because prepares
 // run strictly between commit phases (the window barrier), when nothing
 // mutates the medium, and no two prepares share a txPrep. Everything a
 // prepare reads is either immutable after construction (cfg, cellSize,
-// spatial), snapshotted into the transmission at send time (channel, power,
-// position source, the overlaps prefix), or covered by a generation stamp:
+// spatial), snapshotted into the transmission at send time (channel, power
+// and its floor range, position source, the overlaps prefix), or covered by
+// a generation stamp:
 //
 //   - posGen: any radio movement invalidates (positions feed every path-loss
 //     term);
@@ -33,15 +37,6 @@ package phy
 // Prepares only exist in spatial mode: shadowing makes rxPowerDBm draw from
 // the medium's RNG, which a prepare must never touch.
 
-// prepRx is one candidate's precomputed reception.
-type prepRx struct {
-	rssi, snr float64
-	// floor: deterministically below the decode floor (no RNG draw).
-	floor bool
-	// collided: defeated by an overlap registered before the prepare ran.
-	collided bool
-}
-
 // txPrep is a transmission's speculative delivery state, owned by the
 // prepare hook between the window barrier and the commit.
 type txPrep struct {
@@ -53,7 +48,7 @@ type txPrep struct {
 	overlapsN int       // overlaps prefix the interference scan covered
 	gather    gatherBuf
 	capture   captureCheck
-	rx        []prepRx
+	rx        []rxEval
 }
 
 // prepare speculatively computes tx's delivery. Runs on a prepare lane; see
@@ -76,7 +71,7 @@ func (m *Medium) prepare(tx *transmission) {
 	cand := m.gatherInto(&p.gather, tx)
 	p.capture.begin(tx, tx.overlaps[:p.overlapsN])
 	if cap(p.rx) < len(cand) {
-		p.rx = make([]prepRx, len(cand))
+		p.rx = make([]rxEval, len(cand))
 	}
 	p.rx = p.rx[:len(cand)]
 	for i, rx := range cand {
@@ -84,19 +79,11 @@ func (m *Medium) prepare(tx *transmission) {
 			// The commit skips the source before reading its slot.
 			continue
 		}
-		rej := channelRejectionDB(tx.channel, rx.channel)
-		// Identical to the serial path's arithmetic (rxPowerDBm never
-		// reaches its shadowing draw in spatial mode), so the committed
-		// floats are bit-identical.
-		rssi := m.rxPowerDBm(tx.powerDBm, tx.src.pos, rx.pos) - rej
-		snr := rssi - m.cfg.NoiseFloorDBm
-		r := &p.rx[i]
-		r.rssi, r.snr = rssi, snr
-		r.floor = snr+rej < decodeFloorSNRDB
-		r.collided = false
-		if !r.floor {
-			r.collided = m.overlapCollides(&p.capture, rx, rssi)
-		}
+		// The serial loop's own helper: a candidate that passes the floor
+		// and the prefix capture test gets its rssi and snr, and every
+		// candidate keeps d_tx² for the commit-time suffix fold.
+		p.rx[i] = rxEval{}
+		m.evalRx(&p.capture, tx, rx, &p.rx[i])
 	}
 	p.prepared = true
 }

@@ -31,6 +31,12 @@ import (
 // delivery loop a superset of the in-range radios, and the floor is the
 // exact, deterministic filter.
 //
+// The cut takes no logarithm: the floor holds exactly when max(d², 1)
+// exceeds the square of the distance at which the transmitter's
+// pre-rejection SNR reaches decodeFloorSNRDB (floorRange2, cached per
+// radio), so evalRx compares squared distances and evaluates the dB
+// expression only inside sqGuard's band.
+//
 // Two deliberate choices keep the draw sequence identical to the pre-shard
 // medium for every world whose radios sit inside the decode range:
 //   - the floor ignores channel rejection (a close radio on an adjacent
