@@ -59,7 +59,7 @@ func runEventcapture(pass *analysis.Pass) (any, error) {
 }
 
 // isKernelSchedule reports whether call invokes one of the scheduling entry
-// points (At, After, Schedule, ScheduleAfter, SchedulePrep) on a value of a
+// points (At, After, Schedule, ScheduleAfter) on a value of a
 // named type called Kernel. The pooled handle-less variants are covered too:
 // a stale closure is just as stale when its Event struct is recycled.
 // (ScheduleBatch closures sit inside composite literals rather than call
@@ -74,7 +74,7 @@ func isKernelSchedule(pass *analysis.Pass, call *ast.CallExpr) bool {
 		return false
 	}
 	switch fn.Name() {
-	case "At", "After", "Schedule", "ScheduleAfter", "SchedulePrep":
+	case "At", "After", "Schedule", "ScheduleAfter":
 	default:
 		return false
 	}

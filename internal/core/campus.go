@@ -36,10 +36,6 @@ type CampusConfig struct {
 	Seed uint64
 	// Checks enables kernel invariant checking.
 	Checks bool
-	// Workers selects the kernel execution mode (sim.Kernel.SetWorkers):
-	// 0 is the classic serial loop, n >= 1 the conservative-window loop
-	// with n prepare lanes. Digests are byte-identical either way.
-	Workers int
 
 	// Rogue plants a high-power AP cloning CampusSSID beside AP 0's
 	// cluster; stations that hear it louder than their home AP join it.
@@ -95,7 +91,6 @@ func NewCampusWorld(cfg CampusConfig) *CampusWorld {
 	w := &CampusWorld{Cfg: cfg, Topo: topo}
 	w.Kernel = sim.NewKernel(cfg.Seed)
 	w.Kernel.SetInvariantChecks(cfg.Checks)
-	w.Kernel.SetWorkers(cfg.Workers)
 	w.Medium = phy.NewMedium(w.Kernel, phy.Config{})
 	w.rng = w.Kernel.RNG().Fork()
 	w.APFrames = make([]uint64, len(topo.APs))
@@ -287,11 +282,10 @@ const campusScenarioDuration = 12 * sim.Second
 // runCampusScenario drives the campus and campus-rogue scenarios.
 func runCampusScenario(name string, seed uint64, opts ScenarioOpts) *ScenarioOutcome {
 	cfg := CampusConfig{
-		Seed:    seed,
-		Checks:  opts.Checks,
-		Workers: opts.Workers,
-		Rogue:   name == "campus-rogue",
-		Faults:  opts.Faults,
+		Seed:   seed,
+		Checks: opts.Checks,
+		Rogue:  name == "campus-rogue",
+		Faults: opts.Faults,
 		Topology: TopologyConfig{
 			Kind: TopoCampus, Seed: seed,
 			APs: campusScenarioAPs, STAs: campusScenarioSTAs,

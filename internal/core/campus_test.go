@@ -5,59 +5,34 @@ import (
 	"testing"
 )
 
-// TestCampusDigestStability replays both campus scenarios across seeds, a
-// GOMAXPROCS × kernel-workers grid, and repeated runs: every replay of
-// (scenario, seed) must produce a byte-identical trace digest. The campus
-// worlds run entirely on the sharded medium, so this is the determinism
-// contract (DESIGN.md §8, §13) applied to the spatial-index delivery path.
-// The GOMAXPROCS axis proves the schedule never leaks through
-// core.Sweep-style parallelism or map iteration; the workers axis proves the
-// conservative-window kernel (DESIGN.md §14) commits the exact serial
-// schedule whatever the lane count or the scheduler's thread budget.
+// TestCampusDigestStability replays both campus scenarios across seeds and
+// a GOMAXPROCS axis: every replay of (scenario, seed) must produce a
+// byte-identical trace digest. The campus worlds run entirely on the sharded
+// medium, so this is the determinism contract (DESIGN.md §8, §13) applied to
+// the spatial-index delivery path. The GOMAXPROCS axis proves the schedule
+// never leaks through core.Sweep-style parallelism or map iteration.
 func TestCampusDigestStability(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, name := range []string{"campus", "campus-rogue"} {
 		for _, seed := range []uint64{1, 7, 42} {
 			var want uint64
-			first := true
-			for _, procs := range []int{1, 4} {
+			for i, procs := range []int{1, 4} {
 				runtime.GOMAXPROCS(procs)
-				for _, workers := range []int{0, 1, 4} {
-					o, err := RunScenarioOpts(name, seed, ScenarioOpts{Workers: workers})
-					if err != nil {
-						t.Fatalf("%s seed %d: %v", name, seed, err)
-					}
-					if first {
-						want = o.Digest
-						first = false
-						continue
-					}
-					if o.Digest != want {
-						t.Errorf("%s seed %d GOMAXPROCS=%d workers=%d: digest %016x, want %016x",
-							name, seed, procs, workers, o.Digest, want)
-					}
+				o, err := RunScenario(name, seed, false)
+				if err != nil {
+					t.Fatalf("%s seed %d: %v", name, seed, err)
+				}
+				if i == 0 {
+					want = o.Digest
+					continue
+				}
+				if o.Digest != want {
+					t.Errorf("%s seed %d GOMAXPROCS=%d: digest %016x, want %016x",
+						name, seed, procs, o.Digest, want)
 				}
 			}
 		}
 	}
-}
-
-// TestCampusPreparedCommits proves the core wiring reaches the phy's
-// speculative-delivery path: a campus on the windowed kernel must commit a
-// healthy share of its deliveries from prepares (stale ones — e.g. from scan
-// retunes mid-flight — recompute serially and are counted, not lost).
-func TestCampusPreparedCommits(t *testing.T) {
-	o, err := RunScenarioOpts("campus-rogue", 1, ScenarioOpts{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := o.Campus.Medium
-	total := m.PrepCommits + m.PrepStale
-	if m.PrepCommits == 0 {
-		t.Fatalf("no prepared deliveries committed (stale=%d)", m.PrepStale)
-	}
-	t.Logf("prep commits=%d stale=%d (%.0f%% hit)", m.PrepCommits, m.PrepStale,
-		100*float64(m.PrepCommits)/float64(total))
 }
 
 // TestCampusRogueCaptures pins the qualitative §4 result at campus scale:

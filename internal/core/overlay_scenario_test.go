@@ -9,12 +9,9 @@ import (
 // gate: the overlay scenarios — including chaos-relay's full failover,
 // rekey, and route re-convergence — must produce byte-identical trace
 // digests under every determinism seed, at GOMAXPROCS 1 (Sweep's
-// sequential fallback) and 4 (parallel workers), with the kernel both
-// serial (workers=0) and conservative-window parallel (workers=4,
-// DESIGN.md §14). A divergence here means the mesh machinery leaked
-// nondeterminism (map order on the wire, shared state across worlds,
-// unseeded jitter) into the trace — or the windowed kernel reordered a
-// commit.
+// sequential fallback) and 4 (parallel workers). A divergence here means
+// the mesh machinery leaked nondeterminism (map order on the wire, shared
+// state across worlds, unseeded jitter) into the trace.
 func TestOverlayScenarioDigestStability(t *testing.T) {
 	type point struct {
 		scenario string
@@ -26,29 +23,27 @@ func TestOverlayScenarioDigestStability(t *testing.T) {
 			pts = append(pts, point{scenario, seed})
 		}
 	}
-	runWith := func(workers int) func(point) uint64 {
-		return func(p point) uint64 {
-			o, err := RunScenarioOpts(p.scenario, p.seed, ScenarioOpts{Checks: true, Workers: workers})
-			if err != nil {
-				t.Errorf("%s seed %d: %v", p.scenario, p.seed, err)
-				return 0
-			}
-			if !o.Download.Clean() {
-				t.Errorf("%s seed %d: download not clean", p.scenario, p.seed)
-			}
-			return o.Digest
+	run := func(p point) uint64 {
+		o, err := RunScenario(p.scenario, p.seed, true)
+		if err != nil {
+			t.Errorf("%s seed %d: %v", p.scenario, p.seed, err)
+			return 0
 		}
+		if !o.Download.Clean() {
+			t.Errorf("%s seed %d: download not clean", p.scenario, p.seed)
+		}
+		return o.Digest
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var runs [][]uint64
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		runs = append(runs, Sweep(pts, runWith(0)), Sweep(pts, runWith(4)))
+		runs = append(runs, Sweep(pts, run))
 	}
 	for i, p := range pts {
 		for r := 1; r < len(runs); r++ {
 			if runs[r][i] != runs[0][i] {
-				t.Errorf("%s seed %d: digest diverged across replays/procs: %016x != %016x",
+				t.Errorf("%s seed %d: digest diverged across procs: %016x != %016x",
 					p.scenario, p.seed, runs[r][i], runs[0][i])
 			}
 		}

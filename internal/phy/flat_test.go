@@ -9,15 +9,15 @@ import (
 // flatMedium is the pre-shard medium's delivery path, kept in test code as
 // the reference the sharded medium is pinned against: every transmission is
 // evaluated against every attached radio in attach order — no channel
-// shards, no grid, no decode floor, no prepares — with the capture test in
-// its original dB form. TestShardedMatchesUnshardedDigest drives it and the
-// production medium through identical traffic; BenchmarkMediumBroadcast-
-// Unsharded measures it as the O(radios) floor.
+// shards, no grid, no decode floor — with the capture test in its original
+// dB form. TestShardedMatchesUnshardedDigest drives it and the production
+// medium through identical traffic; BenchmarkMediumBroadcastUnsharded
+// measures it as the O(radios) floor.
 //
 // It borrows a production Medium for what the two share by construction:
 // the config, the forked RNG, the loss-model formulas, and the radios
-// (positions, channels, receivers, counters). None of the Medium's index,
-// transmission pool or prepare machinery is touched.
+// (positions, channels, receivers, counters). Neither the Medium's index nor
+// its transmission pool is touched.
 type flatMedium struct {
 	m      *Medium
 	active []*flatTx

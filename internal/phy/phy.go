@@ -160,9 +160,8 @@ type Medium struct {
 	// floor and capture tests. It is off when shadowing is on (reception at
 	// any distance is then a draw the loss model must keep making).
 	spatial bool
-	// gather and capture are the serial delivery loop's scratch: its
-	// candidate gather and its audible-overlap lists. Prepare hooks never
-	// touch them — each transmission's txPrep owns its own.
+	// gather and capture are the delivery loop's scratch: its candidate
+	// gather and its audible-overlap lists.
 	gather  gatherBuf
 	capture captureCheck
 	// chanFactor[a][b] is the channel part of the capture factor
@@ -170,12 +169,9 @@ type Medium struct {
 	// against an overlap b channels from it; b ≥ 5 is inaudible.
 	chanFactor [MaxChannel][5]float64
 
-	// posGen/chanGen are staleness stamps for speculative delivery prepares
-	// (prepare.go): any SetPosition bumps posGen; attaching or retuning a
-	// radio bumps the affected channels' chanGen. A prepared result commits
-	// only if every stamp its computation could have read is unchanged.
-	posGen  uint64
-	chanGen [MaxChannel + 1]uint64
+	// posGen is bumped by every SetPosition; captureCheck compares it to
+	// drop audible-overlap lists that snapshot stale source positions.
+	posGen uint64
 
 	// burst, when non-nil, is the active Gilbert–Elliott fault state
 	// (internal/faults installs it). burstBad is the current chain state.
@@ -194,11 +190,6 @@ type Medium struct {
 	SNRDrops      uint64
 	Collisions    uint64
 	BurstDrops    uint64
-	// PrepCommits/PrepStale count completions that consumed a prepared
-	// delivery vs. recomputed serially (stale stamps, or a serial kernel
-	// where the hook never ran). Diagnostics only — not part of any digest.
-	PrepCommits uint64
-	PrepStale   uint64
 }
 
 type transmission struct {
@@ -223,13 +214,8 @@ type transmission struct {
 	pins int
 	done bool
 	// completeFn is the completion closure, bound once per struct so
-	// recycled transmissions do not re-allocate it; prepareFn is the
-	// speculative prepare hook handed to sim.SchedulePrep the same way.
+	// recycled transmissions do not re-allocate it.
 	completeFn func()
-	prepareFn  func()
-	// prep holds the speculatively precomputed delivery (prepare.go), valid
-	// only when prep.prepared and the generation stamps still match.
-	prep txPrep
 }
 
 // NewMedium creates an empty medium on the kernel.
@@ -244,10 +230,6 @@ func NewMedium(k *sim.Kernel, cfg Config) *Medium {
 			m.chanFactor[a][b] = math.Pow(10, delta/(5*cfg.PathLossExponent))
 		}
 	}
-	// The medium is the kernel's only source of preparable events, and every
-	// completion it schedules is at least one PLCP preamble away — the
-	// minimum airtime is the conservative lookahead (DESIGN.md §14).
-	k.SetLookahead(plcpOverhead)
 	return m
 }
 
@@ -396,7 +378,6 @@ func (m *Medium) AddRadio(cfg RadioConfig) *Radio {
 	r.idx = len(m.radios)
 	m.radios = append(m.radios, r)
 	m.shard(r.channel).insert(r, m.cellOf(r.pos))
-	m.chanGen[r.channel]++
 	return r
 }
 
@@ -433,8 +414,6 @@ func (r *Radio) SetChannel(c Channel) {
 	if c == r.channel {
 		return
 	}
-	r.medium.chanGen[r.channel]++
-	r.medium.chanGen[c]++
 	r.medium.shard(r.channel).remove(r)
 	r.channel = c
 	r.medium.shard(c).insert(r, r.cell)
@@ -530,30 +509,21 @@ func (r *Radio) SendBuf(pb *pkt.Buf, rate Rate) sim.Time {
 	}
 	s := m.shard(r.channel)
 	s.active = append(s.active, tx)
-	if m.spatial {
-		// The completion is preparable: under a windowed kernel its
-		// candidate gather and SNR/interference math run ahead of time on a
-		// prepare lane (prepare.go). On a serial kernel the hook is ignored.
-		m.kernel.SchedulePrep(end, tx.completeFn, tx.prepareFn)
-	} else {
-		m.kernel.Schedule(end, tx.completeFn)
-	}
+	m.kernel.Schedule(end, tx.completeFn)
 	return end
 }
 
 // getTx pops a recycled transmission or allocates a fresh one, binding its
-// completion and prepare closures exactly once.
+// completion closure exactly once.
 func (m *Medium) getTx() *transmission {
 	if n := len(m.freeTx); n > 0 {
 		tx := m.freeTx[n-1]
 		m.freeTx = m.freeTx[:n-1]
 		tx.pins, tx.done = 0, false
-		tx.prep.prepared = false
 		return tx
 	}
 	tx := &transmission{}
 	tx.completeFn = func() { m.complete(tx) }
-	tx.prepareFn = func() { m.prepare(tx) }
 	return tx
 }
 
@@ -579,7 +549,6 @@ func (m *Medium) complete(tx *transmission) {
 	defer tx.buf.Release()
 	defer m.retire(tx)
 	now := m.kernel.Now()
-	overlaps := tx.overlaps
 	s := m.shard(tx.channel)
 	kept := s.active[:0]
 	for _, t := range s.active {
@@ -598,44 +567,20 @@ func (m *Medium) complete(tx *transmission) {
 	}
 
 	// Candidate order is the global attach order in every mode — the RNG
-	// draw sequence per candidate is what the digest contract pins. A valid
-	// speculative prepare supplies the candidate list and each candidate's
-	// evalRx result (same helper, same inputs — bit-identical); everything
-	// involving RNG, counters, the digest, or receiver callbacks happens
-	// here, serially, in either case.
-	var cand []*Radio
-	var prx []rxEval
+	// draw sequence per candidate is what the digest contract pins.
+	cand := m.gatherInto(&m.gather, tx)
 	cc := &m.capture
-	if m.prepValid(tx) {
-		cand, prx = tx.prep.gather.cand, tx.prep.rx
-		// Overlaps registered after the prepare ran (the list is append-only
-		// until retire) fold in serially; collided is an order-insensitive
-		// OR, so prefix-then-suffix is exact.
-		cc.begin(tx, overlaps[tx.prep.overlapsN:])
-		m.PrepCommits++
-	} else {
-		cand = m.gatherInto(&m.gather, tx)
-		cc.begin(tx, overlaps)
-		m.PrepStale++
-	}
-	for i, rx := range cand {
+	cc.begin(tx, tx.overlaps)
+	for _, rx := range cand {
 		// No-receiver radios (the fault jammer is the only kind) are skipped
 		// before any loss draw: there is nothing to deliver to, so burning
 		// RNG state on them would couple every receiver's loss pattern to
-		// the presence of deaf hardware. down/recv are live state, checked
-		// at commit time even on the prepared path.
+		// the presence of deaf hardware.
 		if rx == tx.src || rx.down || rx.recv == nil {
 			continue
 		}
 		var r rxEval
-		if prx != nil {
-			r = prx[i]
-			if !r.floor && !r.collided {
-				r.collided = m.overlapCollides(cc, rx, &r)
-			}
-		} else {
-			m.evalRx(cc, tx, rx, &r)
-		}
+		m.evalRx(cc, tx, rx, &r)
 		if r.floor {
 			rx.RxBelowSNR++
 			m.SNRDrops++
@@ -678,8 +623,7 @@ type rxEval struct {
 
 // evalRx evaluates tx at candidate rx against c's overlaps: the decode-floor
 // cut, the capture test and, for a candidate that passes both, rssi and
-// snr. The serial loop and the prepare hook share it, so both produce the
-// same decisions and the same floats.
+// snr.
 //
 // In spatial mode it draws nothing and takes no logarithm until one is
 // observed. Path loss is L(d) = L0 + k·log10(max(d, 1)), k =
@@ -772,9 +716,8 @@ func sqCompare(a, b float64) int {
 
 // captureCheck is one candidate loop's capture context: the transmission
 // being delivered, the overlaps its receivers must survive, and per
-// receiver channel the list of overlaps audible on it. A completion owns one
-// (the medium's for the serial loop, the txPrep's for a prepare) and calls
-// begin before its candidate loop.
+// receiver channel the list of overlaps audible on it. The medium owns one
+// and complete calls begin before its candidate loop.
 type captureCheck struct {
 	tx       *transmission
 	overlaps []*transmission
@@ -834,10 +777,8 @@ func (c *captureCheck) audible(m *Medium, ch Channel) []audible {
 
 // overlapCollides reports whether any of c's overlaps is loud enough at rx
 // to defeat capture of c.tx, received at r. No RNG, no counters, and no
-// writes beyond c's lists and r's lazy rssi — the same predicate serves the
-// serial path, the prepare hook (prefix), and the commit-time fold
-// (suffix). The early return is sound for the same reason the prefix/suffix
-// split is: only the OR is observable.
+// writes beyond c's lists and r's lazy rssi. The early return is sound
+// because only the OR is observable.
 //
 // Without shadowing, rssi is exactly P_tx − L(d_tx) − rej_tx, so
 // overlapDefeats' test rssi − op < C holds exactly when

@@ -145,8 +145,7 @@ func (s *mediumShard) removeFromCell(r *Radio) {
 // gatherBuf is one gather's scratch: the candidate list it returns and the
 // attach-index bitmap that orders it. The bitmap is all zero between gathers
 // (the ordered walk clears every word it reads), so a gather never pays to
-// reset it. Each concurrent gatherer — the delivery loop, every prepare —
-// owns its own.
+// reset it.
 type gatherBuf struct {
 	cand []*Radio
 	bits []uint64
@@ -162,8 +161,7 @@ func (g *gatherBuf) mark(radios []*Radio) {
 // gatherInto collects every radio that could decode (or, with shadowing,
 // would draw for) tx into g.cand, in ascending global attach order — the
 // exact iteration order of the pre-shard medium. It only reads the shard
-// index, so prepare hooks may call it concurrently as long as each passes
-// its own buffer.
+// index.
 func (m *Medium) gatherInto(g *gatherBuf, tx *transmission) []*Radio {
 	if words := (len(m.radios) + 63) >> 6; len(g.bits) < words {
 		g.bits = make([]uint64, words)

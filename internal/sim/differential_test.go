@@ -3,7 +3,6 @@ package sim
 import (
 	"container/heap"
 	"fmt"
-	"sync/atomic"
 	"testing"
 )
 
@@ -14,10 +13,7 @@ import (
 // ScheduleBatch bulk inserts, cancel-while-queued, cancel-then-reschedule,
 // same-tick ties, run bursts — with events that spawn more events as they
 // fire. Identical fire order, fire times, and final clocks are required.
-// Each script runs three ways: the reference heap, the serial wheel, and the
-// conservative-window wheel (lanes.go) at 2 workers with prepare hooks on
-// every pooled event. FuzzSchedulerOps feeds the same driver with arbitrary
-// scripts.
+// FuzzSchedulerOps feeds the same driver with arbitrary scripts.
 
 // refEvent/refQueue/refSched are the pre-wheel scheduler, verbatim: a
 // container/heap min-heap ordered by (when, seq) with lazy cancellation.
@@ -134,24 +130,12 @@ type scheduler interface {
 	Run()
 }
 
-// wheelAdapter drives a Kernel. With prepped non-nil, Schedule routes through
-// SchedulePrep with a counting prepare hook, so windowed kernels exercise the
-// prepare collection/dispatch machinery on every pooled event.
-type wheelAdapter struct {
-	k       *Kernel
-	prepped *atomic.Int64
-}
+// wheelAdapter drives a Kernel.
+type wheelAdapter struct{ k *Kernel }
 
-func (w wheelAdapter) Now() Time                      { return w.k.Now() }
-func (w wheelAdapter) At(t Time, fn func()) canceller { return w.k.At(t, fn) }
-func (w wheelAdapter) Schedule(t Time, fn func()) {
-	if w.prepped != nil {
-		c := w.prepped
-		w.k.SchedulePrep(t, fn, func() { c.Add(1) })
-		return
-	}
-	w.k.Schedule(t, fn)
-}
+func (w wheelAdapter) Now() Time                          { return w.k.Now() }
+func (w wheelAdapter) At(t Time, fn func()) canceller     { return w.k.At(t, fn) }
+func (w wheelAdapter) Schedule(t Time, fn func())         { w.k.Schedule(t, fn) }
 func (w wheelAdapter) ScheduleBatch(entries []BatchEntry) { w.k.ScheduleBatch(entries) }
 func (w wheelAdapter) RunFor(d Time)                      { w.k.RunFor(d) }
 func (w wheelAdapter) Run()                               { w.k.Run() }
@@ -299,35 +283,24 @@ func runScript(s scheduler, script []op) (log []fireRec, final Time) {
 	return log, s.Now()
 }
 
-// diffSchedulers runs one script against the reference heap, the serial time
-// wheel, and the conservative-window wheel (2 workers, with every pooled
-// event carrying a prepare hook), and reports the first divergence, if any.
+// diffSchedulers runs one script against the reference heap and the time
+// wheel, and reports the first divergence, if any.
 func diffSchedulers(t testing.TB, script []op) {
 	t.Helper()
 	refLog, refEndT := runScript(refAdapter{&refSched{}}, script)
-	check := func(name string, log []fireRec, end Time) {
-		t.Helper()
-		if len(log) != len(refLog) {
-			t.Fatalf("%s fired %d events, reference heap fired %d", name, len(log), len(refLog))
-		}
-		for i := range log {
-			if log[i] != refLog[i] {
-				t.Fatalf("fire %d diverged: %s (id=%d at %v), reference (id=%d at %v)",
-					i, name, log[i].id, log[i].when, refLog[i].id, refLog[i].when)
-			}
-		}
-		if end != refEndT {
-			t.Fatalf("final clocks diverged: %s %v, reference %v", name, end, refEndT)
+	log, end := runScript(wheelAdapter{NewKernel(1)}, script)
+	if len(log) != len(refLog) {
+		t.Fatalf("wheel fired %d events, reference heap fired %d", len(log), len(refLog))
+	}
+	for i := range log {
+		if log[i] != refLog[i] {
+			t.Fatalf("fire %d diverged: wheel (id=%d at %v), reference (id=%d at %v)",
+				i, log[i].id, log[i].when, refLog[i].id, refLog[i].when)
 		}
 	}
-	wheelLog, wheelEnd := runScript(wheelAdapter{k: NewKernel(1)}, script)
-	check("wheel", wheelLog, wheelEnd)
-	pk := NewKernel(1)
-	pk.SetWorkers(2)
-	pk.SetLookahead(64 * Microsecond)
-	var prepped atomic.Int64
-	parLog, parEnd := runScript(wheelAdapter{k: pk, prepped: &prepped}, script)
-	check("windowed wheel", parLog, parEnd)
+	if end != refEndT {
+		t.Fatalf("final clocks diverged: wheel %v, reference %v", end, refEndT)
+	}
 }
 
 // TestDifferentialSchedulerRandomOps drives seeded randomized op scripts

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKernelStartsAtZero(t *testing.T) {
@@ -487,4 +489,85 @@ func TestDeliveryBarrierParksBufferReleases(t *testing.T) {
 	if c := k.BufPool().Get(); c != a {
 		t.Fatal("barrier-parked buffer not reissued after EndDelivery")
 	}
+}
+
+// TestEventFitsSizeClass pins Event at 32 bytes or less. Every Schedule
+// draws a pooled Event, and a struct that grows past 32 bytes moves into the
+// next malloc size class (48 bytes), a 50% jump in event memory.
+func TestEventFitsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n > 32 {
+		t.Fatalf("Event is %d bytes, want <= 32", n)
+	}
+}
+
+// TestScheduleBatchMatchesSequential pins ScheduleBatch's contract directly:
+// bulk insertion is observationally identical — fire order, digest, clock —
+// to one Schedule call per entry.
+func TestScheduleBatchMatchesSequential(t *testing.T) {
+	delays := []Time{
+		0, 0, 0, // at-now: imminent heap
+		40 * Microsecond, 40 * Microsecond, 41 * Microsecond, // shared ticks
+		3 * Millisecond, 3 * Millisecond, // shared slot later in the window
+		10 * Second, 10 * Second, // overflow
+		50 * Microsecond, // back to an earlier tick after overflow
+	}
+	run := func(batch bool) (log []int, digest uint64) {
+		k := NewKernel(1)
+		if batch {
+			entries := make([]BatchEntry, len(delays))
+			for i, d := range delays {
+				i := i
+				entries[i] = BatchEntry{When: d, Fn: func() { log = append(log, i) }}
+			}
+			k.ScheduleBatch(entries)
+		} else {
+			for i, d := range delays {
+				i := i
+				k.Schedule(d, func() { log = append(log, i) })
+			}
+		}
+		k.Run()
+		return log, k.Digest()
+	}
+	seqLog, seqDigest := run(false)
+	batchLog, batchDigest := run(true)
+	if len(seqLog) != len(delays) {
+		t.Fatalf("sequential run fired %d of %d events", len(seqLog), len(delays))
+	}
+	if fmt.Sprint(seqLog) != fmt.Sprint(batchLog) {
+		t.Fatalf("fire order diverged: sequential %v, batch %v", seqLog, batchLog)
+	}
+	if seqDigest != batchDigest {
+		t.Fatalf("digest diverged: sequential %#x, batch %#x", seqDigest, batchDigest)
+	}
+}
+
+// TestScheduleBatchPanics pins the validation semantics: a past or nil entry
+// panics exactly like Schedule, and entries before the bad one stay queued.
+func TestScheduleBatchPanics(t *testing.T) {
+	k := NewKernel(1)
+	k.Schedule(Millisecond, func() {})
+	k.RunFor(2 * Millisecond)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("past entry did not panic")
+			}
+		}()
+		k.ScheduleBatch([]BatchEntry{
+			{When: 3 * Millisecond, Fn: func() {}},
+			{When: Millisecond, Fn: func() {}}, // in the past
+		})
+	}()
+	if k.Pending() != 1 {
+		t.Fatalf("%d events pending after partial batch, want the 1 valid entry", k.Pending())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("nil Fn did not panic")
+			}
+		}()
+		k.ScheduleBatch([]BatchEntry{{When: 4 * Millisecond}})
+	}()
 }
